@@ -14,6 +14,8 @@ are far more accurate.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.algebra.plan import JoinNode, LeafNode, PlanNode
@@ -78,6 +80,27 @@ class PlanEstimator:
         #: keys (TPC-DS ticket/item/customer) toward zero and makes
         #: fact-to-fact joins look free.
         self.composite_rule = composite_rule
+        #: Per-node estimates, live only inside :meth:`memoized`.
+        self._memo: dict[tuple, tuple[NodeEstimate, PlanNode]] | None = None
+
+    @contextmanager
+    def memoized(self) -> Iterator[None]:
+        """Evaluate :meth:`estimate` once per distinct node inside the block.
+
+        A join is keyed by the identity of its two children plus its join
+        keys, so the throw-away node ``PlannerToolkit.make_join`` estimates
+        and the annotated node it returns share one entry; a leaf is keyed by
+        its own identity. Each entry holds the node it was computed for, and
+        with it the keyed children, so no id can be recycled while the memo
+        lives. The memo assumes the statistics catalog and alias map stay
+        put, which is why it dies with the block: planners register fresh
+        catalog entries between searches.
+        """
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
 
     # -- cardinalities ------------------------------------------------------
 
@@ -88,6 +111,18 @@ class PlanEstimator:
         )
 
     def estimate(self, node: PlanNode) -> NodeEstimate:
+        memo = self._memo
+        if memo is None:
+            return self._evaluate(node)
+        key: tuple = (id(node),)
+        if isinstance(node, JoinNode):
+            key = (id(node.build), id(node.probe), node.build_keys, node.probe_keys)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (self._evaluate(node), node)
+        return entry[0]
+
+    def _evaluate(self, node: PlanNode) -> NodeEstimate:
         if isinstance(node, LeafNode):
             return self.leaf_estimate(node)
         if not isinstance(node, JoinNode):
@@ -137,12 +172,16 @@ class PlanEstimator:
             return 0.0
         if not isinstance(node, JoinNode):
             raise PlanError(f"cannot cost node type {type(node).__name__}")
-        out = self.estimate(node)
         return (
             self.cout_cost(node.build)
             + self.cout_cost(node.probe)
-            + out.modeled_rows * out.row_width
+            + self.output_volume(node)
         )
+
+    def output_volume(self, node: JoinNode) -> float:
+        """One join's term of :meth:`cout_cost`: its modeled output bytes."""
+        out = self.estimate(node)
+        return out.modeled_rows * out.row_width
 
     def plan_cost(self, node: PlanNode) -> float:
         """Movement-aware execution-cost estimate of a full plan (mirrors the
@@ -152,7 +191,7 @@ class PlanEstimator:
 
     def _cost(self, node: PlanNode) -> tuple[float, NodeEstimate]:
         if isinstance(node, LeafNode):
-            estimate = self.leaf_estimate(node)
+            estimate = self.estimate(node)
             stats = self.statistics.get(self.alias_datasets[leaf_alias(node)])
             modeled = stats.row_count * stats.scale
             seconds = self.cost.scan(modeled, stats.row_width)

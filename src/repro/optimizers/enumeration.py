@@ -24,17 +24,25 @@ def best_bushy_plan(toolkit: PlannerToolkit, movement_aware: bool = False) -> Pl
     ``movement_aware=True`` switches to the engine-mirroring cost model (an
     ablation showing how much of the dynamic approach's win comes from
     estimation quality vs cost-model fidelity).
+
+    The estimator memoizes per-node estimates for the length of the search,
+    so each distinct subtree is estimated once however many candidate joins
+    reuse it.
     """
-    cost_fn = (
-        toolkit.estimator.plan_cost if movement_aware else toolkit.estimator.cout_cost
-    )
+    with toolkit.estimator.memoized():
+        return _search(toolkit, movement_aware)
+
+
+def _search(toolkit: PlannerToolkit, movement_aware: bool) -> PlanNode:
+    estimator = toolkit.estimator
     aliases = sorted(toolkit.query.aliases)
     if not aliases:
         raise OptimizationError("query has no FROM entries")
     best: dict[frozenset, tuple[float, PlanNode]] = {}
     for alias in aliases:
         leaf = toolkit.leaf(alias)
-        best[frozenset((alias,))] = (cost_fn(leaf), leaf)
+        cost = estimator.plan_cost(leaf) if movement_aware else 0.0
+        best[frozenset((alias,))] = (cost, leaf)
 
     for size in range(2, len(aliases) + 1):
         for subset in combinations(aliases, size):
@@ -50,15 +58,23 @@ def best_bushy_plan(toolkit: PlannerToolkit, movement_aware: bool = False) -> Pl
                     members[i + 1] for i in range(len(members) - 1) if mask >> i & 1
                 ) | {members[0]}
                 right = full - left
-                left_entry = best.get(frozenset(left))
+                left_entry = best.get(left)
                 right_entry = best.get(right)
                 if left_entry is None or right_entry is None:
                     continue
-                conditions = toolkit.conditions_across(frozenset(left), right)
+                conditions = toolkit.conditions_across(left, right)
                 if not conditions:
                     continue
                 node = toolkit.make_join(left_entry[1], right_entry[1], conditions)
-                cost = cost_fn(node)
+                if movement_aware:
+                    cost = estimator.plan_cost(node)
+                else:
+                    # cout_cost(node) = (cout(build) + cout(probe)) + output,
+                    # and the children's cout costs are the stored entries.
+                    # IEEE addition commutes, so the sum is bit-identical
+                    # whichever side make_join chose to build.
+                    volume = estimator.output_volume(node)
+                    cost = (left_entry[0] + right_entry[0]) + volume
                 if entry is None or cost < entry[0]:
                     entry = (cost, node)
             if entry is not None:

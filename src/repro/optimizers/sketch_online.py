@@ -119,9 +119,14 @@ class SketchOnlineOptimizer(Optimizer):
 
         Each partition is sketched independently and the per-partition
         sketches are merged — the order COMPASS's distributed workers
-        produce. GK and HLL merges are exact (merge-then-estimate equals
-        estimate-over-union), so the merged entry is byte-identical to a
-        single-pass scan while exercising the real distributed dataflow.
+        produce. The two sketches merge differently:
+
+        - HLL merge is exact (a register-wise max), so each merged distinct
+          sketch equals one HLL fed every qualified row;
+        - GK merge interleaves and recompresses two summaries, so the merged
+          quantile sketch is the left fold of the per-partition sketches in
+          partition order, which in general is not the sketch one pass over
+          the qualified rows would build.
         """
         table = query.table(alias)
         dataset = session.datasets.get(table.dataset)

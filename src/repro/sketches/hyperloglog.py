@@ -10,6 +10,7 @@ to combine per-partition sketches).
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from repro.common.errors import StatisticsError
 from repro.common.rng import stable_hash
@@ -23,6 +24,19 @@ def _alpha(m: int) -> float:
     if m == 64:
         return 0.709
     return 0.7213 / (1 + 1.079 / m)
+
+
+def max_rank(precision: int) -> int:
+    """Largest register value :meth:`HyperLogLog.add` can store: the rank of
+    the first set bit among the ``64 - precision`` hash bits left after the
+    index, or one past them when all are zero."""
+    return 64 - precision + 1
+
+
+@cache
+def _lane_high_bits(m: int) -> int:
+    """``0x80`` in every byte lane of an ``m``-byte integer."""
+    return int.from_bytes(b"\x80" * m, "little")
 
 
 class HyperLogLog:
@@ -95,9 +109,20 @@ class HyperLogLog:
                 f"cannot merge HLLs of different precision "
                 f"({self.precision} vs {other.precision})"
             )
+        # Register-wise max as byte-lane (SWAR) arithmetic on two big ints,
+        # the same idiom BloomFilter uses for its bit array. Registers never
+        # exceed max_rank(precision) < 0x80, so setting each lane's high bit
+        # before subtracting can never borrow across lanes: a lane's high bit
+        # survives exactly when a >= b, and the mask widens it to 0xFF.
+        m = self._m
+        high = _lane_high_bits(m)
+        a = int.from_bytes(self._registers, "little")
+        b = int.from_bytes(other._registers, "little")
+        ge = ((a | high) - b) & high
+        mask = (ge - (ge >> 7)) | ge
         merged = HyperLogLog(self.precision)
         merged._registers = bytearray(
-            max(a, b) for a, b in zip(self._registers, other._registers, strict=True)
+            ((a & mask) | (b & ~mask)).to_bytes(m, "little")
         )
         merged._count = self._count + other._count
         return merged
@@ -133,6 +158,13 @@ class HyperLogLog:
             raise StatisticsError(
                 f"corrupt HLL state: {len(registers)} registers for "
                 f"precision {sketch.precision}"
+            )
+        # merge's byte-lane max relies on every register staying below 0x80.
+        largest = max(registers)
+        if largest > max_rank(sketch.precision):
+            raise StatisticsError(
+                f"corrupt HLL state: register value {largest} exceeds "
+                f"{max_rank(sketch.precision)} for precision {sketch.precision}"
             )
         sketch._registers = registers
         sketch._count = int(state["count"])

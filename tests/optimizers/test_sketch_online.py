@@ -71,3 +71,83 @@ class TestExecutionShape:
     def test_plannerspec_accepts_inl(self):
         spec = PlannerSpec.of("sketch_online", inl_enabled=True)
         assert spec.make().inl_enabled is True
+
+
+class TestSketchPassMergeSemantics:
+    """What merging per-partition sketches yields, pinned per sketch kind."""
+
+    @pytest.fixture(scope="class")
+    def sketched(self):
+        from repro.lang.ast import EvaluationContext
+        from repro.optimizers.sketch_online import SketchOnlineOptimizer
+        from tests.conftest import build_star_session, star_query
+
+        session = build_star_session()
+        query = star_query()
+        context = EvaluationContext(query.parameters, session.udfs)
+        optimizer = SketchOnlineOptimizer()
+        passes = {}
+        for alias in ("fact", "db", "dc"):
+            entry, _ = optimizer._sketch_pass(query, alias, session, context)
+            passes[alias] = entry
+        return session, query, context, passes
+
+    @staticmethod
+    def qualified_partitions(session, query, context, alias):
+        """The values of each partition's rows that pass the alias's predicates."""
+        dataset = session.datasets.get(query.table(alias).dataset)
+        predicates = query.predicates_for(alias)
+        for partition in dataset.partitions:
+            kept = []
+            for row in partition:
+                qualified = {f"{alias}.{key}": value for key, value in row.items()}
+                if all(p.evaluate(qualified, context) for p in predicates):
+                    kept.append(row)
+            yield kept
+
+    @pytest.mark.parametrize("alias", ("fact", "db", "dc"))
+    def test_hll_equals_single_pass(self, sketched, alias):
+        from repro.sketches.hyperloglog import HyperLogLog
+
+        session, query, context, passes = sketched
+        entry = passes[alias]
+        partitions = list(self.qualified_partitions(session, query, context, alias))
+        assert len(partitions) > 1
+        for name, stats in entry.fields.items():
+            single = HyperLogLog()
+            for rows in partitions:
+                single.extend(row[name] for row in rows if row[name] is not None)
+            assert stats.distinct.to_state() == single.to_state()
+
+    @pytest.mark.parametrize("alias", ("fact", "db", "dc"))
+    def test_gk_is_left_fold_in_partition_order(self, sketched, alias):
+        from repro.sketches.gk import GKQuantileSketch
+
+        session, query, context, passes = sketched
+        entry = passes[alias]
+        partitions = list(self.qualified_partitions(session, query, context, alias))
+        for name, stats in entry.fields.items():
+            folded = GKQuantileSketch()
+            for rows in partitions:
+                part = GKQuantileSketch()
+                for row in rows:
+                    if row[name] is not None:
+                        part.add(float(row[name]))
+                folded = folded.merge(part)
+            assert stats.quantiles.to_state() == folded.to_state()
+
+    def test_gk_is_not_a_single_pass(self, sketched):
+        """Merged GK summaries are not what one pass over the rows builds."""
+        from repro.sketches.gk import GKQuantileSketch
+
+        session, query, context, passes = sketched
+        partitions = list(self.qualified_partitions(session, query, context, "fact"))
+        differing = []
+        for name, stats in passes["fact"].fields.items():
+            single = GKQuantileSketch()
+            for rows in partitions:
+                for row in rows:
+                    single.add(float(row[name]))
+            if stats.quantiles.to_state() != single.to_state():
+                differing.append(name)
+        assert differing
