@@ -14,6 +14,7 @@ quantile queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, eq
 
 from repro.common.errors import StatisticsError
 
@@ -29,6 +30,14 @@ class _Entry:
     value: float
     g: int
     delta: int
+
+
+_value = attrgetter("value")
+
+
+def _has_nan(values: list[float]) -> bool:
+    """Whether any value is unequal to itself (NaN)."""
+    return not all(map(eq, values, values))
 
 
 class GKQuantileSketch:
@@ -53,6 +62,8 @@ class GKQuantileSketch:
         self._buffer_cap = max(16, int(1.0 / epsilon))
         # Memoized quantile() answers; invalidated on every summary change.
         self._quantile_cache: dict[float, float] = {}
+        # Set once a NaN may have reached the summary; see _flush.
+        self._may_hold_nan = False
 
     def __len__(self) -> int:
         return self._count + len(self._buffer)
@@ -76,10 +87,55 @@ class GKQuantileSketch:
         if not self._buffer:
             return
         self._quantile_cache.clear()
-        for value in sorted(self._buffer):
-            self._insert_sorted(value)
+        batch = sorted(self._buffer)
         self._buffer.clear()
+        if self._may_hold_nan or _has_nan(batch):
+            # NaN is unordered, so the summary is no longer sorted and only
+            # the per-value bisection defines where later values land.
+            self._may_hold_nan = True
+            for value in batch:
+                self._insert_sorted(value)
+        else:
+            self._insert_batch(batch)
         self._compress()
+
+    def _insert_batch(self, batch: list[float]) -> None:
+        """Insert a sorted, NaN-free batch in one merge, leaving exactly the
+        summary that :meth:`_insert_sorted` leaves one value at a time.
+
+        Value ``i`` of the batch is inserted at count ``start + i + 1``, at
+        the bisect-left position among the old entries and the batch values
+        before it. So every value lands ahead of all entries equal to it:
+        equal values end up newest first, ahead of older entries, which a
+        stable sort of the reversed batch followed by the old entries
+        reproduces. The delta is ``threshold - 1`` at that count, or 0 where
+        the value is a new minimum (nothing before it is smaller) or a new
+        maximum (everything before it is smaller).
+        """
+        entries = self._entries
+        start = self._count
+        two_eps = 2 * self.epsilon
+        deltas = [
+            max(1, int(two_eps * count)) - 1
+            for count in range(start + 1, start + len(batch) + 1)
+        ]
+        first = batch[0]
+        for i, value in enumerate(batch):
+            if (i and first < value) or (entries and entries[0].value < value):
+                break
+            deltas[i] = 0
+        for i in range(len(batch) - 1, -1, -1):
+            value = batch[i]
+            if entries and not entries[-1].value < value:
+                break
+            if i == 0 or batch[i - 1] < value:
+                deltas[i] = 0
+        fresh = [
+            _Entry(value, 1, delta) for value, delta in zip(batch, deltas, strict=True)
+        ]
+        fresh.reverse()
+        self._entries = sorted(fresh + entries, key=_value)
+        self._count = start + len(batch)
 
     def _insert_sorted(self, value: float) -> None:
         entries = self._entries
@@ -195,6 +251,7 @@ class GKQuantileSketch:
         )
         merged._entries = entries
         merged._count = self._count + other._count
+        merged._may_hold_nan = self._may_hold_nan or other._may_hold_nan
         merged._compress()
         return merged
 
@@ -228,4 +285,5 @@ class GKQuantileSketch:
         sketch._entries = [
             _Entry(value, int(g), int(delta)) for value, g, delta in state["entries"]
         ]
+        sketch._may_hold_nan = _has_nan([e.value for e in sketch._entries])
         return sketch

@@ -33,6 +33,10 @@ def max_rank(precision: int) -> int:
     return 64 - precision + 1
 
 
+#: Types whose equal values always hash alike, so ``extend`` may skip repeats.
+_DEDUP_TYPES = frozenset({int, str})
+
+
 @cache
 def _lane_high_bits(m: int) -> int:
     """``0x80`` in every byte lane of an ``m``-byte integer."""
@@ -64,20 +68,40 @@ class HyperLogLog:
         h = stable_hash(value)
         index = h & (self._m - 1)
         remaining = h >> self.precision
-        # Rank of the first set bit in the remaining 64-p bits (1-based).
-        rank = 1
-        bits = 64 - self.precision
-        while remaining & 1 == 0 and rank <= bits:
-            rank += 1
-            remaining >>= 1
+        # Rank of the first set bit in the remaining 64-p bits (1-based):
+        # ``r & -r`` isolates the lowest set bit. All-zero bits rank one
+        # past them.
+        if remaining:
+            rank = (remaining & -remaining).bit_length()
+        else:
+            rank = max_rank(self.precision)
         if rank > self._registers[index]:
             self._registers[index] = rank
             self._cardinality_cache = None
         self._count += 1
 
     def extend(self, values) -> None:
-        for value in values:
-            self.add(value)
+        """Insert every value of an iterable.
+
+        A register keeps the maximum rank it has seen, so inserting a value
+        again never changes it: each distinct value is hashed once, and
+        ``len()`` still counts every insertion. Only values of exactly type
+        ``int`` or ``str`` are deduplicated. Other values can compare equal
+        while hashing apart (``1``, ``1.0`` and ``True``; ``0.0`` and
+        ``-0.0``), so each of them is inserted as it comes.
+        """
+        values = values if isinstance(values, list) else list(values)
+        if set(map(type, values)) <= _DEDUP_TYPES:
+            once, rest = dict.fromkeys(values), ()
+        else:
+            once = dict.fromkeys(v for v in values if type(v) in _DEDUP_TYPES)
+            rest = [v for v in values if type(v) not in _DEDUP_TYPES]
+        add = self.add
+        for value in once:
+            add(value)
+        for value in rest:
+            add(value)
+        self._count += len(values) - len(once) - len(rest)
 
     def cardinality(self) -> float:
         """Estimated number of distinct inserted values.
@@ -89,12 +113,27 @@ class HyperLogLog:
         if self._cardinality_cache is not None:
             return self._cardinality_cache
         m = self._m
-        inverse_sum = 0.0
-        zeros = 0
-        for register in self._registers:
-            inverse_sum += 2.0 ** (-register)
-            if register == 0:
-                zeros += 1
+        registers = self._registers
+        # histogram[r] = number of registers holding r, up to the largest.
+        histogram: list[int] = []
+        counted = 0
+        while counted < m:
+            count = registers.count(len(histogram))
+            histogram.append(count)
+            counted += count
+        top = len(histogram) - 1
+        zeros = histogram[0]
+        if top + self.precision <= 52:
+            # Every partial sum of the 2.0 ** -register terms is k * 2**-top
+            # with k <= m * 2**top <= 2**52, so it is a float exactly: the
+            # sequential float sum of the fallback below is exact, and so
+            # equals this integer sum scaled back down.
+            scaled = sum(count << (top - r) for r, count in enumerate(histogram))
+            inverse_sum = scaled / (1 << top)
+        else:
+            inverse_sum = 0.0
+            for register in registers:
+                inverse_sum += 2.0 ** (-register)
         estimate = _alpha(m) * m * m / inverse_sum
         if estimate <= 2.5 * m and zeros:
             # Linear counting regime.

@@ -35,6 +35,19 @@ class FieldStatistics:
         if numeric is not None:
             self.quantiles.add(numeric)
 
+    def observe_column(self, values: list) -> None:
+        """Observe a column of values in order, in one pass per sketch.
+
+        Leaves the same state as calling :meth:`observe` on each value: each
+        sketch sees the same values in the same order.
+        """
+        present = [value for value in values if value is not None]
+        self.null_count += len(values) - len(present)
+        self.distinct.extend(present)
+        self.quantiles.extend(
+            float(value) for value in present if isinstance(value, (int, float))
+        )
+
     @property
     def distinct_count(self) -> float:
         """HLL estimate of the number of distinct non-null values."""
@@ -103,8 +116,15 @@ class StatisticsCollector:
             stats.observe(row.get(name))
 
     def observe_rows(self, rows) -> None:
-        for row in rows:
-            self.observe_row(row)
+        """Observe an iterable of rows, one tracked field at a time.
+
+        The rows are materialized once; each field's column is pivoted out
+        of them only while that field is observed.
+        """
+        rows = rows if isinstance(rows, list) else list(rows)
+        self.row_count += len(rows)
+        for name, stats in self.fields.items():
+            stats.observe_column([row.get(name) for row in rows])
 
     def observe_columns(self, columns: dict, length: int) -> None:
         """Columnar twin of ``observe_row`` over a batch of parallel columns.
@@ -118,9 +138,8 @@ class StatisticsCollector:
             column = columns.get(name)
             if column is None:
                 stats.null_count += length
-                continue
-            for value in column:
-                stats.observe(value)
+            else:
+                stats.observe_column(column)
 
     @property
     def tracked_field_names(self) -> list[str]:

@@ -1,5 +1,6 @@
 """Greenwald-Khanna quantile sketch tests, including the epsilon rank bound."""
 
+import math
 import random
 
 import pytest
@@ -154,3 +155,108 @@ class TestMerge:
         a.merge(b)
         assert len(a) == 10
         assert len(b) == 10
+
+
+class _PerValueFlush(GKQuantileSketch):
+    """Flushes by bisecting each buffered value into the summary on its own:
+    the definition the batch merge in ``GKQuantileSketch._flush`` replays."""
+
+    def _flush(self):
+        if not self._buffer:
+            return
+        self._quantile_cache.clear()
+        for value in sorted(self._buffer):
+            self._insert_sorted(value)
+        self._buffer.clear()
+        self._compress()
+
+
+EPSILONS = st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.3, 0.9])
+
+#: many duplicates, both zeros, both infinities, then arbitrary floats
+_ORDERED_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0]),
+    st.integers(-4, 4).map(float),
+    st.floats(allow_nan=False, width=16),
+)
+
+
+@st.composite
+def streams(draw, max_size=300):
+    """A value stream, with NaN spliced in at drawn positions half the time."""
+    values = draw(st.lists(_ORDERED_VALUES, max_size=max_size))
+    if draw(st.booleans()):
+        for position in draw(st.lists(st.integers(0, len(values)), max_size=3)):
+            values.insert(position, math.nan)
+    return values
+
+
+def _same_state(batch: GKQuantileSketch, reference: GKQuantileSketch) -> None:
+    # repr tells -0.0 from 0.0 and shows NaN, where == would not
+    assert repr(batch.to_state()) == repr(reference.to_state())
+
+
+class TestBatchFlushReplay:
+    """The batch flush leaves exactly the per-value insertion's summary."""
+
+    @settings(deadline=None)
+    @given(EPSILONS, streams(max_size=600))
+    def test_stream(self, epsilon, values):
+        batch, reference = GKQuantileSketch(epsilon), _PerValueFlush(epsilon)
+        for value in values:
+            batch.add(value)
+            reference.add(value)
+        _same_state(batch, reference)
+
+    @settings(deadline=None)
+    @given(EPSILONS, EPSILONS, streams(), streams(), streams())
+    def test_more_values_after_merge(self, eps_a, eps_b, left, right, more):
+        batch_a, batch_b = GKQuantileSketch(eps_a), GKQuantileSketch(eps_b)
+        ref_a, ref_b = _PerValueFlush(eps_a), _PerValueFlush(eps_b)
+        batch_a.extend(left)
+        ref_a.extend(left)
+        batch_b.extend(right)
+        ref_b.extend(right)
+        batch = batch_a.merge(batch_b)
+        reference = ref_a.merge(ref_b)
+        reference.__class__ = _PerValueFlush
+        _same_state(batch, reference)
+        batch.extend(more)
+        reference.extend(more)
+        _same_state(batch, reference)
+
+    @settings(deadline=None)
+    @given(EPSILONS, streams(), streams())
+    def test_more_values_after_from_state(self, epsilon, first, more):
+        original = GKQuantileSketch(epsilon)
+        original.extend(first)
+        state = original.to_state()
+        batch = GKQuantileSketch.from_state(state)
+        reference = _PerValueFlush.from_state(state)
+        batch.extend(more)
+        reference.extend(more)
+        _same_state(batch, reference)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[math.nan, 1, 0], [3.0, 1, 0], [1.0, 1, 0]],
+            [[2.0, 1, 0], [math.nan, 1, 0], [0.5, 1, 0], [4.0, 1, 0]],
+        ],
+    )
+    def test_restored_nan_summary_takes_per_value_path(self, entries):
+        state = {"epsilon": 0.05, "count": len(entries), "entries": entries}
+        batch = GKQuantileSketch.from_state(state)
+        reference = _PerValueFlush.from_state(state)
+        more = [2.5, 1.5, 0.25, 3.0, -0.0, 0.0, 5.0] * 5
+        batch.extend(more)
+        reference.extend(more)
+        _same_state(batch, reference)
+
+    @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_sign_of_zero_kept_in_insertion_order(self, order):
+        batch, reference = GKQuantileSketch(0.3), _PerValueFlush(0.3)
+        values = [1.0, *order, 2.0, *order, *order]
+        batch.extend(values)
+        reference.extend(values)
+        _same_state(batch, reference)

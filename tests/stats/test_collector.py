@@ -1,5 +1,10 @@
 """Statistics collector tests."""
 
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.stats.collector import FieldStatistics, StatisticsCollector
 
 
@@ -86,3 +91,67 @@ class TestCollector:
         collector = StatisticsCollector([])
         collector.observe_rows(rows(10))
         assert collector.sketch_cost_units() == 10
+
+
+#: values that compare equal across types (1, 1.0, True; 0.0, -0.0) but
+#: hash apart, strings, NaN and nulls
+_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([0, 1, 1.0, True, False, 0.0, -0.0, math.inf, math.nan]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, width=16),
+    st.text(max_size=2),
+)
+_ROWS = st.lists(
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), _VALUES), max_size=150
+)
+
+
+def _per_value(fields, rows):
+    """The definition: every tracked field observes its value row by row."""
+    stats = {name: FieldStatistics(name) for name in fields}
+    for row in rows:
+        for name in fields:
+            stats[name].observe(row.get(name))
+    return stats
+
+
+def _assert_same(collector, fields, rows):
+    expected = _per_value(fields, rows)
+    assert collector.row_count == len(rows)
+    for name in fields:
+        got = collector.field(name)
+        assert got.null_count == expected[name].null_count
+        # repr tells -0.0 from 0.0 and shows NaN, where == would not
+        assert repr(got.to_state()) == repr(expected[name].to_state())
+
+
+class TestBatchedEquivalence:
+    """The column-at-a-time paths leave the per-value ``observe`` state."""
+
+    FIELDS = ["a", "b", "ghost"]
+
+    @settings(deadline=None)
+    @given(_ROWS)
+    def test_observe_rows_list(self, data):
+        collector = StatisticsCollector(self.FIELDS)
+        collector.observe_rows(data)
+        _assert_same(collector, self.FIELDS, data)
+
+    @settings(deadline=None)
+    @given(_ROWS)
+    def test_observe_rows_generator(self, data):
+        collector = StatisticsCollector(self.FIELDS)
+        collector.observe_rows(row for row in data)
+        _assert_same(collector, self.FIELDS, data)
+
+    @settings(deadline=None)
+    @given(_ROWS, st.integers(1, 40))
+    def test_observe_columns_in_chunks(self, data, chunk):
+        collector = StatisticsCollector(self.FIELDS)
+        for start in range(0, len(data), chunk):
+            part = data[start : start + chunk]
+            # "ghost" has no column at all, so it counts every row as null
+            columns = {name: [row.get(name) for row in part] for name in "abc"}
+            collector.observe_columns(columns, len(part))
+        _assert_same(collector, self.FIELDS, data)
